@@ -271,8 +271,8 @@ func GenerateParallel(c *cluster.Cluster, in Initiator, k int, edges int64, seed
 }
 
 // EdgeProbability returns the probability of edge (u,v) at iteration k
-// under the initiator: the product over bit levels of θ[u_l, v_l]. Used by
-// KronFit's likelihood.
+// under the initiator: the product over bit levels of θ[u_l, v_l]. It is the
+// per-level reference KronFit's bit-pair-count table is tested against.
 func EdgeProbability(in *Initiator, k int, u, v int64) float64 {
 	p := 1.0
 	for level := 0; level < k; level++ {

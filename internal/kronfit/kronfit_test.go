@@ -2,6 +2,7 @@ package kronfit
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"csb/internal/graph"
@@ -181,5 +182,109 @@ func TestFitForGenerationOnFlowGraph(t *testing.T) {
 	}
 	if res.K != 6 {
 		t.Fatalf("K = %d, want 6", res.K)
+	}
+}
+
+// levelCounts is the per-level reference for pairCounts: it walks the k bit
+// levels and counts which initiator entry each selects.
+func levelCounts(u, v uint32, k int) [4]int {
+	var c [4]int
+	for level := 0; level < k; level++ {
+		shift := uint(k - 1 - level)
+		c[((u>>shift)&1)<<1|(v>>shift)&1]++
+	}
+	return c
+}
+
+func TestTermTableMatchesDirectFormula(t *testing.T) {
+	rng := rand.New(rand.NewPCG(21, 22))
+	for trial := 0; trial < 400; trial++ {
+		var theta kronecker.Initiator
+		for i := range theta.Theta {
+			theta.Theta[i] = 0.005 + 0.99*rng.Float64()
+		}
+		k := 1 + rng.IntN(24)
+		tab := newTermTable(k)
+		tab.set(&theta)
+		for pair := 0; pair < 50; pair++ {
+			u, v := rng.Uint32N(1<<k), rng.Uint32N(1<<k)
+			counts := pairCounts(u, v, k)
+			if want := levelCounts(u, v, k); counts != want {
+				t.Fatalf("k=%d u=%b v=%b: pairCounts %v, per-level counts %v", k, u, v, counts, want)
+			}
+			p := kronecker.EdgeProbability(&theta, k, int64(u), int64(v))
+			logP := math.Log(p)
+			want := logP + p + p*p/2
+			cell := tab.at(counts)
+			// Relative to the summands' magnitude: the term crosses zero
+			// near p ≈ 0.52, where a relative error of the sum itself is
+			// meaningless.
+			if scale := math.Abs(logP) + p + p*p/2; math.Abs(cell.term-want) > 1e-12*scale {
+				t.Fatalf("θ=%v k=%d u=%b v=%b: table term %v, direct %v", theta.Theta, k, u, v, cell.term, want)
+			}
+			if math.Abs(cell.p-p) > 1e-12*p {
+				t.Fatalf("θ=%v k=%d u=%b v=%b: table p %v, direct %v", theta.Theta, k, u, v, cell.p, p)
+			}
+		}
+	}
+}
+
+func TestTermTableZeroThetaUnusedIsFinite(t *testing.T) {
+	theta := kronecker.Initiator{Theta: [4]float64{0.9, 0, 0.5, 0.1}}
+	const k = 4
+	tab := newTermTable(k)
+	tab.set(&theta)
+	for u := uint32(0); u < 1<<k; u++ {
+		for v := uint32(0); v < 1<<k; v++ {
+			c := pairCounts(u, v, k)
+			term := tab.at(c).term
+			if math.IsNaN(term) {
+				t.Fatalf("u=%b v=%b counts %v: term is NaN", u, v, c)
+			}
+			if c[1] == 0 && math.IsInf(term, 0) {
+				t.Fatalf("u=%b v=%b counts %v: term %v, want finite (θ01 = 0 unused)", u, v, c, term)
+			}
+			if c[1] > 0 && !math.IsInf(term, -1) {
+				t.Fatalf("u=%b v=%b counts %v: term %v, want -Inf (θ01 = 0 used)", u, v, c, term)
+			}
+		}
+	}
+}
+
+func TestTermTableRefillsOnThetaChange(t *testing.T) {
+	a := kronecker.DefaultInitiator()
+	b := kronecker.Initiator{Theta: [4]float64{0.7, 0.4, 0.3, 0.2}}
+	tab := newTermTable(3)
+	tab.set(&a)
+	tab.set(&b)
+	c := pairCounts(0b101, 0b110, 3)
+	if got, want := tab.at(c).p, kronecker.EdgeProbability(&b, 3, 0b101, 0b110); math.Abs(got-want) > 1e-15 {
+		t.Fatalf("after θ change p = %v, want %v", got, want)
+	}
+}
+
+// traceShapedGraph is a hub-dominated simple graph shaped like a flow
+// graph: most hosts talk to a few servers, plus a sparse peer layer.
+func traceShapedGraph() *graph.Graph {
+	const n = 512
+	g := graph.New(n)
+	for i := int64(4); i < n; i++ {
+		g.AddEdge(graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i % 4)})
+		if i%5 == 0 {
+			g.AddEdge(graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i / 5)})
+		}
+		if i%7 == 0 {
+			g.AddEdge(graph.Edge{Src: graph.VertexID(i % 4), Dst: graph.VertexID(i)})
+		}
+	}
+	return g.Simplify()
+}
+
+func TestImproveSigmaDoesNotAllocate(t *testing.T) {
+	st := newFitState(traceShapedGraph(), 1)
+	theta := kronecker.DefaultInitiator()
+	st.improveSigma(&theta, 1) // fill the table outside the measurement
+	if allocs := testing.AllocsPerRun(50, func() { st.improveSigma(&theta, 256) }); allocs != 0 {
+		t.Fatalf("improveSigma allocates %v times per call, want 0", allocs)
 	}
 }

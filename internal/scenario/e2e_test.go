@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"testing"
+	"time"
 
 	"csb/internal/attack"
 	"csb/internal/cluster"
@@ -48,6 +49,11 @@ func replayOverWire(t *testing.T, flows []netflow.Flow, sink func(netflow.Flow))
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	// Start only once the dialled subscriber is attached; otherwise it joins
+	// mid-stream and misses the first flows.
+	if err := srv.AwaitSubscribers(1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
