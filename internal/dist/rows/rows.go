@@ -114,11 +114,11 @@ type ndjsonEdge struct {
 	State      string `json:"state"`
 }
 
-// appendNDJSONRow appends one edge's NDJSON line to dst. json.Marshal plus
+// AppendNDJSONRow appends one edge's NDJSON line to dst. json.Marshal plus
 // '\n' is exactly what json.Encoder.Encode emits, so these bytes match the
-// sequential NDJSON writer. Both NDJSONRows and NDJSONBatch funnel through
-// this single formatter.
-func appendNDJSONRow(dst []byte, e *graph.Edge) ([]byte, error) {
+// sequential NDJSON writer. NDJSONRows, NDJSONBatch and the local
+// chunk-parallel artifact encoder all funnel through this single formatter.
+func AppendNDJSONRow(dst []byte, e *graph.Edge) ([]byte, error) {
 	rec := ndjsonEdge{
 		Src: int64(e.Src), Dst: int64(e.Dst),
 		Proto:   e.Props.Protocol.String(),
@@ -141,7 +141,7 @@ func NDJSONRows(edges []graph.Edge) ([]byte, error) {
 	var out []byte
 	var err error
 	for i := range edges {
-		if out, err = appendNDJSONRow(out, &edges[i]); err != nil {
+		if out, err = AppendNDJSONRow(out, &edges[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -155,7 +155,7 @@ func NDJSONBatch(b *graph.EdgeBatch) ([]byte, error) {
 	var err error
 	for i, n := 0, b.Len(); i < n; i++ {
 		e := b.Edge(i)
-		if out, err = appendNDJSONRow(out, &e); err != nil {
+		if out, err = AppendNDJSONRow(out, &e); err != nil {
 			return nil, err
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"csb/internal/graph"
+	"csb/internal/netflow"
 )
 
 // AggregateGraph builds the Table I traffic-pattern records directly from a
@@ -15,23 +16,17 @@ import (
 // vertex-indexed arrays with no hash lookups — unlike AggregatePatterns,
 // which must hash every flow's addresses.
 //
-// Flag counters are reconstructed from edge state exactly as
-// netflow.FlowsFromGraph does, so both aggregation paths produce identical
-// patterns for the same graph (see TestAggregateGraphMatchesFlowPath).
+// Addresses and flag counters come from netflow.VertexAddr and
+// netflow.EdgeFlags, the two halves of the netflow.EdgeFlow rule that
+// netflow.FlowsFromGraph applies, so both aggregation paths produce
+// identical patterns for the same graph (see
+// TestAggregateGraphMatchesFlowPath). The loop calls the halves rather than
+// EdgeFlow so it does not build a whole Flow twice per edge.
 func AggregateGraph(g *graph.Graph) (byDst, bySrc []Pattern) {
 	n := g.NumVertices()
 	if n == 0 {
 		return nil, nil
 	}
-	addrOf := func(v graph.VertexID) uint32 {
-		if g.HasAddrs() {
-			if a := g.Addr(v); a != 0 {
-				return a
-			}
-		}
-		return uint32(v) + 1
-	}
-
 	cols := g.Cols()
 	m := int64(cols.Len())
 
@@ -65,12 +60,12 @@ func AggregateGraph(g *graph.Graph) (byDst, bySrc []Pattern) {
 			p.NFlows++
 			p.SumFlowSize += e.Props.OutBytes + e.Props.InBytes
 			p.SumPackets += e.Props.OutPkts + e.Props.InPkts
-			syn, ack := flagCounts(&e)
+			syn, ack := netflow.EdgeFlags(&e)
 			p.SYN += syn
 			p.ACK += ack
 			at := offsets[v] + cursor[v]
 			cursor[v]++
-			peers[at] = addrOf(peer)
+			peers[at] = netflow.VertexAddr(g, peer)
 			ports[at] = e.Props.DstPort
 		}
 		out := make([]Pattern, 0, n)
@@ -79,7 +74,7 @@ func AggregateGraph(g *graph.Graph) (byDst, bySrc []Pattern) {
 			if p.NFlows == 0 {
 				continue
 			}
-			p.IP = addrOf(graph.VertexID(v))
+			p.IP = netflow.VertexAddr(g, graph.VertexID(v))
 			p.ByDst = byDstSide
 			p.DistinctPeers = distinctU32(peers[offsets[v] : offsets[v]+cursor[v]])
 			p.DistinctPorts = distinctU16(ports[offsets[v] : offsets[v]+cursor[v]])
@@ -89,29 +84,6 @@ func AggregateGraph(g *graph.Graph) (byDst, bySrc []Pattern) {
 		return out
 	}
 	return side(true), side(false)
-}
-
-// flagCounts reconstructs SYN/ACK counters from an edge's TCP state using
-// the same rules as netflow.FlowsFromGraph.
-func flagCounts(e *graph.Edge) (syn, ack int64) {
-	if e.Props.Protocol != graph.ProtoTCP {
-		return 0, 0
-	}
-	switch e.Props.State {
-	case graph.StateS0, graph.StateSH:
-		syn = e.Props.OutPkts
-	case graph.StateOTH:
-		syn = 0
-	default:
-		syn = 2
-	}
-	if e.Props.State != graph.StateS0 && e.Props.State != graph.StateSH && e.Props.State != graph.StateOTH {
-		ack = e.Props.OutPkts + e.Props.InPkts - 1
-		if ack < 0 {
-			ack = 0
-		}
-	}
-	return syn, ack
 }
 
 func distinctU32(xs []uint32) int64 {

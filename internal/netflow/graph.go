@@ -43,56 +43,66 @@ func BuildGraph(flows []Flow) *graph.Graph {
 	return g
 }
 
-// FlowsFromGraph converts property-graph edges back into flow records, using
-// the graph's address table when present (vertex IDs otherwise stand in for
-// addresses). Flag counters are reconstructed conservatively from the TCP
-// state: flows whose state implies a handshake contribute SYN counts, and
-// ACK counts are approximated by the packet count. This is the bridge that
-// lets the anomaly detector run over synthetic property graphs.
+// FlowsFromGraph converts property-graph edges back into flow records, one
+// EdgeFlow per edge in edge order. This is the bridge that lets the anomaly
+// detector run over synthetic property graphs.
 func FlowsFromGraph(g *graph.Graph) []Flow {
-	addrOf := func(v graph.VertexID) uint32 {
-		if g.HasAddrs() {
-			if a := g.Addr(v); a != 0 {
-				return a
-			}
-		}
-		return uint32(v) + 1 // synthetic vertices: 1-based pseudo-addresses
-	}
 	// Stream straight over the graph's columns: each flow is built from the
 	// columnar store without materializing an intermediate []Edge copy.
 	cols := g.Cols()
 	flows := make([]Flow, cols.Len())
 	for i := range flows {
 		e := cols.Edge(i)
-		f := Flow{
-			SrcIP: addrOf(e.Src), DstIP: addrOf(e.Dst),
-			Protocol: e.Props.Protocol,
-			SrcPort:  e.Props.SrcPort, DstPort: e.Props.DstPort,
-			StartMicros: 0, EndMicros: e.Props.Duration * 1000,
-			OutBytes: e.Props.OutBytes, InBytes: e.Props.InBytes,
-			OutPkts: e.Props.OutPkts, InPkts: e.Props.InPkts,
-			State: e.Props.State,
-		}
-		if f.Protocol == graph.ProtoTCP {
-			switch f.State {
-			case graph.StateS0, graph.StateSH:
-				f.SYNCount = f.OutPkts // unanswered SYN retries
-			case graph.StateOTH:
-				f.SYNCount = 0
-			default:
-				f.SYNCount = 2 // SYN + SYN-ACK
-			}
-			if f.State != graph.StateS0 && f.State != graph.StateSH && f.State != graph.StateOTH {
-				ack := f.TotalPkts() - 1
-				if ack < 0 {
-					ack = 0
-				}
-				f.ACKCount = ack
-			}
-		}
-		flows[i] = f
+		flows[i] = EdgeFlow(g, &e)
 	}
 	return flows
+}
+
+// EdgeFlow converts one edge of g into its flow record: addresses from
+// VertexAddr, SYN/ACK counters from EdgeFlags. It is the single edge->flow
+// rule: the CSV artifact encoder and FlowsFromGraph go through it, and the
+// graph-side IDS aggregation uses its two helpers, so their records agree by
+// construction.
+func EdgeFlow(g *graph.Graph, e *graph.Edge) Flow {
+	syn, ack := EdgeFlags(e)
+	return Flow{
+		SrcIP: VertexAddr(g, e.Src), DstIP: VertexAddr(g, e.Dst),
+		Protocol: e.Props.Protocol,
+		SrcPort:  e.Props.SrcPort, DstPort: e.Props.DstPort,
+		StartMicros: 0, EndMicros: e.Props.Duration * 1000,
+		OutBytes: e.Props.OutBytes, InBytes: e.Props.InBytes,
+		OutPkts: e.Props.OutPkts, InPkts: e.Props.InPkts,
+		State:    e.Props.State,
+		SYNCount: syn, ACKCount: ack,
+	}
+}
+
+// EdgeFlags reconstructs an edge's SYN/ACK counters conservatively from its
+// TCP state: flows whose state implies a handshake contribute SYN counts,
+// and ACK counts are approximated by the packet count. Non-TCP edges have
+// none.
+func EdgeFlags(e *graph.Edge) (syn, ack int64) {
+	if e.Props.Protocol != graph.ProtoTCP {
+		return 0, 0
+	}
+	switch e.Props.State {
+	case graph.StateS0, graph.StateSH:
+		syn = e.Props.OutPkts // unanswered SYN retries
+	case graph.StateOTH:
+	default:
+		syn = 2 // SYN + SYN-ACK
+		ack = max(e.Props.OutPkts+e.Props.InPkts-1, 0)
+	}
+	return syn, ack
+}
+
+// VertexAddr is v's address in g's table, or the 1-based pseudo-address
+// uint32(v)+1 for synthetic vertices (no table, or an unset 0 entry).
+func VertexAddr(g *graph.Graph, v graph.VertexID) uint32 {
+	if a := g.Addr(v); a != 0 {
+		return a
+	}
+	return uint32(v) + 1
 }
 
 // Stats summarizes a flow set for reporting.

@@ -153,3 +153,41 @@ func TestEndToEndTraceToGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeFlow pins the one edge->flow rule that FlowsFromGraph, the CSV
+// artifact encoder and ids.AggregateGraph share: flag counters rebuilt from
+// the TCP state, and 1-based pseudo-addresses for vertices without one.
+func TestEdgeFlow(t *testing.T) {
+	g := graph.New(3)
+	g.SetAddr(1, hostB) // vertices 0 and 2 keep the unset address 0
+	cases := []struct {
+		proto    graph.Protocol
+		state    graph.TCPState
+		out, in  int64
+		syn, ack int64
+	}{
+		{graph.ProtoTCP, graph.StateSF, 5, 3, 2, 7},
+		{graph.ProtoTCP, graph.StateREJ, 0, 0, 2, 0}, // ack floors at 0
+		{graph.ProtoTCP, graph.StateS0, 4, 0, 4, 0},
+		{graph.ProtoTCP, graph.StateSH, 2, 1, 2, 0},
+		{graph.ProtoTCP, graph.StateOTH, 6, 6, 0, 0},
+		{graph.ProtoUDP, graph.StateNone, 3, 2, 0, 0},
+	}
+	for _, c := range cases {
+		e := graph.Edge{Src: 0, Dst: 1, Props: graph.EdgeProps{
+			Protocol: c.proto, State: c.state, OutPkts: c.out, InPkts: c.in, Duration: 9,
+		}}
+		f := EdgeFlow(g, &e)
+		if f.SYNCount != c.syn || f.ACKCount != c.ack {
+			t.Errorf("%v/%v out=%d in=%d: syn,ack = %d,%d, want %d,%d",
+				c.proto, c.state, c.out, c.in, f.SYNCount, f.ACKCount, c.syn, c.ack)
+		}
+		if f.SrcIP != 1 || f.DstIP != hostB || f.StartMicros != 0 || f.EndMicros != 9000 {
+			t.Errorf("%v/%v: addresses %x->%x, span %d..%d", c.proto, c.state, f.SrcIP, f.DstIP, f.StartMicros, f.EndMicros)
+		}
+	}
+	e := graph.Edge{Src: 2, Dst: 1}
+	if f := EdgeFlow(graph.New(3), &e); f.SrcIP != 3 || f.DstIP != 2 {
+		t.Errorf("no address table: %d->%d, want pseudo-addresses 3->2", f.SrcIP, f.DstIP)
+	}
+}

@@ -104,11 +104,7 @@ func BuildArtifact(ctx context.Context, spec Spec, c *cluster.Cluster) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := encodeArtifactOn(&buf, g, spec.Format, c); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return encodeArtifactOn(g, spec.Format, c)
 }
 
 // buildSeed runs the Figure 1 pipeline over a synthetic trace sized by the
@@ -121,55 +117,50 @@ func buildSeed(spec Spec) (*core.Seed, error) {
 	return core.Analyze(netflow.BuildGraph(netflow.Assemble(pkts, 0)))
 }
 
-// EncodeArtifact serializes g in the given artifact format. The tsv and csbg
-// encodings are exactly Graph.WriteEdgeList and Graph.Write, so daemon
-// artifacts stay byte-identical to csbgen's files.
+// EncodeArtifact serializes g in the given artifact format to w, writing
+// the one slice encodeArtifactOn builds on no cluster: csbg is exactly
+// Graph.Write; the text formats are the chunk-parallel encodeText, whose
+// bytes are exactly Graph.WriteEdgeList's (tsv), netflow.WriteCSV's over
+// FlowsFromGraph (csv) and rows.NDJSONBatch's (ndjson) whatever the number
+// of encode goroutines — so daemon artifacts stay byte-identical to
+// csbgen's files.
 func EncodeArtifact(w io.Writer, g *graph.Graph, format string) error {
-	switch format {
-	case FormatCSBG:
-		return g.Write(w)
-	case FormatCSV:
-		return netflow.WriteCSV(w, netflow.FlowsFromGraph(g))
-	case FormatNDJSON:
-		return writeNDJSON(w, g)
-	case FormatTSV, "":
-		return g.WriteEdgeList(w)
-	default:
-		return fmt.Errorf("serve: unknown artifact format %q", format)
-	}
-}
-
-// writeNDJSON emits one JSON object per edge, newline-delimited, in edge
-// order (deterministic for deterministic graphs). The row formatter lives in
-// internal/dist/rows so the sequential and distributed encoders share it.
-func writeNDJSON(w io.Writer, g *graph.Graph) error {
-	out, err := rows.NDJSONBatch(g.Cols())
+	data, err := encodeArtifactOn(g, format, nil)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(out)
+	_, err = w.Write(data)
 	return err
 }
 
-// encodeArtifactOn is EncodeArtifact with a distributed fast path: on a
-// cluster with a TaskExecutor the text formats encode chunk-parallel through
+// encodeArtifactOn encodes g in format and returns the artifact bytes. csbg
+// is Graph.Write into a buffer: it is not distributed — its result bytes
+// equal its input bytes, so shipping them wins nothing. Text formats encode
+// chunk-parallel on the local cores (encodeText) into one slice of exactly
+// the artifact's size, unless c has a TaskExecutor: then they encode through
 // the engine (remotable row stages, see internal/dist/rows), so workers
 // carry the formatting and the coordinator concatenates header + chunks in
 // partition order. Chunks share the sequential writers' row formatters and
-// partitioning follows only the cluster shape, so the bytes are identical to
-// EncodeArtifact's on every worker count. csbg is not distributed — its
-// result bytes equal its input bytes, so shipping them wins nothing.
-func encodeArtifactOn(w io.Writer, g *graph.Graph, format string, c *cluster.Cluster) error {
+// partitioning follows only the cluster shape, so the bytes are the same on
+// every path and worker count.
+func encodeArtifactOn(g *graph.Graph, format string, c *cluster.Cluster) ([]byte, error) {
+	if format == FormatCSBG {
+		var buf bytes.Buffer
+		if err := g.Write(&buf); err != nil {
+			return nil, err
+		}
+		return buf.Bytes(), nil
+	}
 	if c == nil || c.Config().Executor == nil {
-		return EncodeArtifact(w, g, format)
+		return encodeText(g, format)
 	}
 	switch format {
 	case FormatTSV, "":
-		return writeChunked(w, cluster.ParallelizeEdges(c, g.Cols(), 0), graph.EdgeListHeader, rows.TSVKind,
+		return encodeChunked(cluster.ParallelizeEdges(c, g.Cols(), 0), graph.EdgeListHeader, rows.TSVKind,
 			func(xs []graph.Edge) []byte { return rows.TSVRows(xs) },
 			rows.EncodeEdges)
 	case FormatNDJSON:
-		return writeChunked(w, cluster.ParallelizeEdges(c, g.Cols(), 0), "", rows.NDJSONKind,
+		return encodeChunked(cluster.ParallelizeEdges(c, g.Cols(), 0), "", rows.NDJSONKind,
 			func(xs []graph.Edge) []byte {
 				out, err := rows.NDJSONRows(xs)
 				if err != nil {
@@ -179,37 +170,31 @@ func encodeArtifactOn(w io.Writer, g *graph.Graph, format string, c *cluster.Clu
 			},
 			rows.EncodeEdges)
 	case FormatCSV:
-		return writeChunked(w, cluster.Parallelize(c, netflow.FlowsFromGraph(g), 0), netflow.CSVHeaderLine, rows.CSVKind,
+		return encodeChunked(cluster.Parallelize(c, netflow.FlowsFromGraph(g), 0), netflow.CSVHeaderLine, rows.CSVKind,
 			func(xs []netflow.Flow) []byte { return rows.CSVRows(xs) },
 			rows.EncodeFlows)
 	default:
-		return EncodeArtifact(w, g, format)
+		return encodeText(g, format) // rejects the unknown format
 	}
 }
 
-// writeChunked runs one remotable row-encode stage over the pre-partitioned
-// records and writes header plus the row chunks in partition order. Callers
+// encodeChunked runs one remotable row-encode stage over the pre-partitioned
+// records and returns header plus the row chunks in partition order. Callers
 // hand it a dataset (ParallelizeEdges for columnar edge sources) so record
 // batches stream into partition storage without a monolithic row slice.
-func writeChunked[T any](w io.Writer, ds *cluster.Dataset[T], header, kind string,
-	local func(xs []T) []byte, payload func(xs []T) []byte) error {
+func encodeChunked[T any](ds *cluster.Dataset[T], header, kind string,
+	local func(xs []T) []byte, payload func(xs []T) []byte) ([]byte, error) {
 	c := ds.Cluster()
 	chunks := cluster.MapPartitionsRemotable(ds, kind,
 		func(part int, xs []T) []byte { return local(xs) },
 		func(part int, xs []T) []byte { return payload(xs) },
 		func(result []byte) ([]byte, error) { return result, nil })
 	if err := c.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	if header != "" {
-		if _, err := io.WriteString(w, header); err != nil {
-			return err
-		}
-	}
+	parts := [][]byte{[]byte(header)}
 	for i := 0; i < chunks.NumPartitions(); i++ {
-		if _, err := w.Write(chunks.Partition(i)); err != nil {
-			return err
-		}
+		parts = append(parts, chunks.Partition(i))
 	}
-	return nil
+	return bytes.Join(parts, nil), nil
 }

@@ -76,6 +76,11 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode == http.StatusOK {
+			// The resubmitted job re-indexes the artifact's format, so the
+			// content-address fetch keeps its accurate content type.
+			if ct, want := resp.Header.Get("Content-Type"), spec2.ContentType(); ct != want {
+				t.Errorf("resumed artifact Content-Type = %q, want %q", ct, want)
+			}
 			var buf bytes.Buffer
 			buf.ReadFrom(resp.Body)
 			resp.Body.Close()

@@ -171,7 +171,8 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
-	inflight map[string]*job // artifact id -> queued/running job (single-flight)
+	formats  map[string]string // artifact id -> format, for /v1/artifacts content types
+	inflight map[string]*job   // artifact id -> queued/running job (single-flight)
 	closed   bool
 
 	// Replay sessions (internal/replay) keyed by session id; rtotals
@@ -247,6 +248,7 @@ func New(cfg Config) (*Server, error) {
 		stop:     stop,
 		queue:    make(chan *job, cfg.QueueDepth),
 		jobs:     make(map[string]*job),
+		formats:  make(map[string]string),
 		inflight: make(map[string]*job),
 		replays:  make(map[string]*replaySession),
 	}
@@ -433,7 +435,7 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 			state: StateDone, cacheHit: true, created: time.Now(),
 		}
 		s.mu.Lock()
-		s.jobs[j.id] = j
+		s.addJobLocked(j)
 		s.mu.Unlock()
 		return j.status(), nil
 	}
@@ -458,7 +460,7 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 	}
 	select {
 	case s.queue <- j:
-		s.jobs[j.id] = j
+		s.addJobLocked(j)
 		s.inflight[artifact] = j
 		s.mu.Unlock()
 		s.misses.Add(1)
@@ -477,6 +479,15 @@ func (s *Server) Submit(spec *Spec) (JobStatus, error) {
 		s.rejected.Add(1)
 		return JobStatus{}, &submitErr{code: http.StatusTooManyRequests, msg: "job queue is full"}
 	}
+}
+
+// addJobLocked records j in the job table and indexes its artifact's format.
+// Every job enters the table here — journal recovery too, since it
+// resubmits through Submit — so the index covers every artifact a job
+// produced. Callers hold s.mu.
+func (s *Server) addJobLocked(j *job) {
+	s.jobs[j.id] = j
+	s.formats[j.artifact] = j.spec.Format
 }
 
 // nextID mints a job id.
@@ -697,19 +708,10 @@ func (s *Server) handleJobArtifact(w http.ResponseWriter, r *http.Request) {
 // handleArtifact is GET /v1/artifacts/{id}.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	// The artifact's format rides in its spec; recover it from any job that
-	// produced this artifact for an accurate content type, defaulting to
-	// octet-stream for direct content-address fetches.
-	spec := Spec{Format: ""}
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		if j.artifact == id {
-			spec = j.spec
-			break
-		}
-	}
-	s.mu.Unlock()
-	s.serveArtifact(w, id, spec)
+	// The artifact's format rides in the spec of the jobs that produced it,
+	// for an accurate content type; an artifact no job produced serves as
+	// octet-stream.
+	s.serveArtifact(w, id, Spec{Format: s.artifactFormat(id)})
 }
 
 // serveArtifact streams cached artifact bytes in bounded chunks. Chunked

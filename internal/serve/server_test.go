@@ -422,6 +422,41 @@ func TestArtifactFormats(t *testing.T) {
 	}
 }
 
+// TestArtifactByIDContentType checks GET /v1/artifacts/{id} takes its
+// content type from the format of the job that produced the artifact, and
+// serves an artifact no job produced as octet-stream.
+func TestArtifactByIDContentType(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	contentType := func(id string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/artifacts/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("artifact %s = %d, want 200", id, resp.StatusCode)
+		}
+		return resp.Header.Get("Content-Type")
+	}
+	for _, format := range []string{FormatCSV, FormatNDJSON} {
+		spec := tinySpec(41)
+		spec.Format = format
+		_, st := postJob(t, ts, spec)
+		if final := pollDone(t, ts, st.ID); final.State != StateDone {
+			t.Fatalf("%s job = %q (%s)", format, final.State, final.Error)
+		}
+		if got, want := contentType(st.ArtifactID), spec.ContentType(); got != want {
+			t.Errorf("%s artifact Content-Type = %q, want %q", format, got, want)
+		}
+	}
+	s.Cache().Put("direct", []byte("src\tdst\n"))
+	if got := contentType("direct"); got != "application/octet-stream" {
+		t.Errorf("direct artifact Content-Type = %q, want application/octet-stream", got)
+	}
+}
+
 func TestServerCloseRejectsNewJobs(t *testing.T) {
 	s, err := New(Config{Workers: 1})
 	if err != nil {
