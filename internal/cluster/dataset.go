@@ -256,6 +256,17 @@ func MapPartitions[T, U any](in *Dataset[T], f func(part int, xs []T) []U) *Data
 	return newDataset(in.c, parts)
 }
 
+// ForEachPartition runs f over every partition as one stage and produces no
+// dataset — Spark's foreachPartition, the sink of a pipeline. f may write
+// into shared output only within a range that no other partition writes
+// (see the determinism argument in fault.go).
+func ForEachPartition[T any](in *Dataset[T], f func(part int, xs []T)) {
+	in.c.runStage(stageSpec{op: "foreachPartition", weights: partWeights(in.parts),
+		bytesIn: bytesOf(in.parts)}, len(in.parts), func(i int) {
+		f(i, in.parts[i])
+	})
+}
+
 // FlatMap applies f to every element and concatenates the results. The
 // output partition starts at the input's length (expansion factors below 1
 // are rare for flatMap workloads) and grows from there.

@@ -3,11 +3,11 @@ package cluster
 import "csb/internal/graph"
 
 // This file is the columnar bridge between the graph's struct-of-arrays edge
-// store (graph.EdgeBatch) and the row-structured Dataset engine. Shuffle
-// operators move individual elements and stay generic; the pipeline endpoints
-// — loading a graph's edges into a dataset and draining a dataset back into a
-// graph — stream batch columns instead of materializing one monolithic
-// []Edge on each side.
+// store (graph.EdgeBatch) and the row-structured Dataset engine: loading a
+// graph's edges into a dataset streams batch columns into partition storage
+// instead of materializing one monolithic []Edge first. The generators drain
+// their datasets the other way by writing disjoint ranges of one pre-sized
+// graph (graph.NewSized, Graph.SetPairs) from a ForEachPartition stage.
 
 // ParallelizeEdges splits the edges of a columnar batch into balanced
 // partitions, materializing rows once per partition. The partition boundaries
@@ -16,15 +16,29 @@ import "csb/internal/graph"
 // the former Parallelize(c, b.Edges(), partitions) — without the intermediate
 // full-graph []Edge copy.
 func ParallelizeEdges(c *Cluster, b *graph.EdgeBatch, partitions int) *Dataset[graph.Edge] {
+	return parallelizeRows(c, b.Len(), partitions, b.Edge)
+}
+
+// ParallelizePairs is ParallelizeEdges for stages that need only the
+// endpoints: the same partition boundaries, 16-byte graph.Pair rows read
+// from the src/dst columns alone.
+func ParallelizePairs(c *Cluster, b *graph.EdgeBatch, partitions int) *Dataset[graph.Pair] {
+	return parallelizeRows(c, b.Len(), partitions, func(i int) graph.Pair {
+		return graph.Pair{Src: b.SrcID(i), Dst: b.DstID(i)}
+	})
+}
+
+// parallelizeRows splits rows [0, n) into Parallelize's balanced partitions,
+// materializing row i with row(i).
+func parallelizeRows[T any](c *Cluster, n, partitions int, row func(i int) T) *Dataset[T] {
 	p := c.defaultPartitions(partitions)
-	n := b.Len()
 	if p > n {
 		p = n
 	}
 	if n == 0 {
-		return newDataset(c, make([][]graph.Edge, 0))
+		return newDataset(c, make([][]T, 0))
 	}
-	parts := make([][]graph.Edge, p)
+	parts := make([][]T, p)
 	base, rem := n/p, n%p
 	lo := 0
 	for i := range parts {
@@ -32,25 +46,12 @@ func ParallelizeEdges(c *Cluster, b *graph.EdgeBatch, partitions int) *Dataset[g
 		if i < rem {
 			sz++
 		}
-		part := make([]graph.Edge, sz)
+		part := make([]T, sz)
 		for j := range part {
-			part[j] = b.Edge(lo + j)
+			part[j] = row(lo + j)
 		}
 		parts[i] = part
 		lo += sz
 	}
 	return newDataset(c, parts)
-}
-
-// AppendTo drains an edge dataset into g partition by partition, in Collect
-// order, validating each partition once. It replaces the Collect-then-AddEdges
-// pattern: edges flow straight from partition storage into the graph's
-// columns with no intermediate full-size []Edge.
-func AppendTo(in *Dataset[graph.Edge], g *graph.Graph) error {
-	for i := range in.parts {
-		if err := g.AddEdges(in.parts[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

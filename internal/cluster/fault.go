@@ -19,6 +19,14 @@ package cluster
 //     the committed flag under it, so a speculative duplicate and a slow
 //     original can never double-apply or interleave a slot write.
 //
+//   - A sink stage (ForEachPartition) may instead write a disjoint,
+//     pre-sized range of one shared output, such as the generators' output
+//     graph, with each task writing only its own range. This is safe for
+//     the same two reasons: only one attempt runs a task's closure at a
+//     time, under the slot lock, so no two writers of a range overlap; and
+//     a retry after a partial write rewrites the same bytes from the same
+//     (seed, partition) stream, so the range ends identical.
+//
 //   - Which attempt wins changes only *when* the slot value is produced,
 //     never *what* it is. Retries, speculation and injected faults therefore
 //     perturb scheduling and timing only; Collect and Graph.Write output is

@@ -5,6 +5,8 @@ import (
 	"math/rand/v2"
 	"strings"
 	"testing"
+
+	"csb/internal/graph"
 )
 
 func TestSeedWriteReadRoundTrip(t *testing.T) {
@@ -100,4 +102,65 @@ func TestReadSeedRejectsGarbage(t *testing.T) {
 	// invariants (never panic).
 	corrupt[len(corrupt)-10] ^= 0xff
 	_, _ = ReadSeed(bytes.NewReader(corrupt)) // must not panic
+}
+
+// refPropsSample is PropertyModel.Sample as it was before the support-index
+// table: IN_BYTES by value, then the conditional model by a map lookup of
+// its bucketOf bucket, falling back to the global model.
+func refPropsSample(m *PropertyModel, rng *rand.Rand) graph.EdgeProps {
+	ib := m.inBytes.Sample(rng)
+	am := m.buckets[bucketOf(ib)]
+	if am == nil {
+		am = m.all
+	}
+	proto, state := codeProtoState(am.protoState.Sample(rng))
+	return graph.EdgeProps{
+		Protocol: proto,
+		State:    state,
+		SrcPort:  uint16(am.srcPort.Sample(rng)),
+		DstPort:  uint16(am.dstPort.Sample(rng)),
+		Duration: am.duration.Sample(rng),
+		OutBytes: am.outBytes.Sample(rng),
+		InBytes:  ib,
+		OutPkts:  am.outPkts.Sample(rng),
+		InPkts:   am.inPkts.Sample(rng),
+	}
+}
+
+// TestPropertySampleMatchesBucketLookup holds Sample's table lookup to the
+// bucket-map reference draw for draw, on a model from each constructor
+// (FitPropertiesBatch, and readPropertyModel via a CSBA round trip) and on
+// one with a bucket removed, which exercises the global fallback.
+func TestPropertySampleMatchesBucketLookup(t *testing.T) {
+	s := traceSeed(t, 20, 300, 61)
+	var buf bytes.Buffer
+	if err := s.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadSeed(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := FitPropertiesBatch(s.Graph.Cols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := range sparse.buckets {
+		delete(sparse.buckets, b) // any one bucket
+		break
+	}
+	sparse.index()
+	models := map[string]*PropertyModel{"fitted": s.Props, "read": loaded.Props, "sparse": sparse}
+	for name, m := range models {
+		r1 := rand.New(rand.NewPCG(3, 4))
+		r2 := rand.New(rand.NewPCG(3, 4))
+		for n := 0; n < 10000; n++ {
+			if got, want := m.Sample(r1), refPropsSample(m, r2); got != want {
+				t.Fatalf("%s draw %d: Sample = %+v, reference %+v", name, n, got, want)
+			}
+		}
+		if r1.Uint64() != r2.Uint64() {
+			t.Fatalf("%s: rng states diverged", name)
+		}
+	}
 }

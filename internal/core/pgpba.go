@@ -37,7 +37,9 @@ type PGPBA struct {
 	// Cluster executes the Map-Reduce stages (nil means a local cluster).
 	Cluster *cluster.Cluster
 	// SkipProperties suppresses the property-synthesis pass; used by the
-	// Figure 10 overhead measurement.
+	// Figure 10 overhead measurement. Every output edge is then bare (zero
+	// attributes), the seed's edges included: the structural stages carry
+	// endpoints only.
 	SkipProperties bool
 	// IndependentProps samples attributes without the IN_BYTES
 	// conditioning (ablation).
@@ -75,9 +77,10 @@ func (p *PGPBA) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 	}
 	defer c.Scope("pgpba")()
 
-	// G' <- G (line 1). The seed's columns stream straight into partition
-	// storage; the seed graph is never aliased or copied wholesale.
-	edges := cluster.ParallelizeEdges(c, seed.Graph.Cols(), 0)
+	// G' <- G (line 1). The seed's endpoint columns stream straight into
+	// partition storage as 16-byte pairs; the structural stages never carry
+	// attributes, which are sampled once the structure is final.
+	edges := cluster.ParallelizePairs(c, seed.Graph.Cols(), 0)
 	numVertices := seed.Graph.NumVertices()
 	round := uint64(0)
 
@@ -126,10 +129,10 @@ func (p *PGPBA) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 		// Lines 6-13: per sampled edge, pick the destination vertex and
 		// create the out- and in-edges.
 		inDeg, outDeg := seed.InDegree, seed.OutDegree
-		newEdges := cluster.MapPartitions(sampled, func(part int, es []graph.Edge) []graph.Edge {
+		newEdges := cluster.MapPartitions(sampled, func(part int, es []graph.Pair) []graph.Pair {
 			rng := cluster.DeriveRNG(p.Seed^(round*0x51ed), uint64(part))
-			out := make([]graph.Edge, 0, 2*len(es))
-			pickDest := func(e graph.Edge) graph.VertexID {
+			out := make([]graph.Pair, 0, expectedLen(len(es), perVertex))
+			pickDest := func(e graph.Pair) graph.VertexID {
 				// Line 7: random endpoint of a sampled edge (stage two of
 				// the preferential attachment).
 				if rng.IntN(2) == 1 {
@@ -151,14 +154,14 @@ func (p *PGPBA) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 					if p.SpreadAttachment {
 						d = pickDest(es[rng.IntN(len(es))])
 					}
-					out = append(out, graph.Edge{Src: newV, Dst: d})
+					out = append(out, graph.Pair{Src: newV, Dst: d})
 				}
 				for j := int64(0); j < nIn; j++ {
 					d := dest
 					if p.SpreadAttachment {
 						d = pickDest(es[rng.IntN(len(es))])
 					}
-					out = append(out, graph.Edge{Src: d, Dst: newV})
+					out = append(out, graph.Pair{Src: d, Dst: newV})
 				}
 			}
 			return out
@@ -181,19 +184,17 @@ func (p *PGPBA) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 		endRebalance()
 	}
 
-	// Lines 15-20: property synthesis for every edge.
-	if !p.SkipProperties {
-		edges = assignProperties(edges, seed.Props, p.Seed^0xab5, p.IndependentProps)
-	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
+	// Lines 15-20: property synthesis for every edge, written with the
+	// endpoints straight into the output graph.
+	return writeGraph(edges, numVertices, seed.Props, p.Seed^0xab5, p.SkipProperties, p.IndependentProps)
+}
 
-	out := graph.NewWithCapacity(numVertices, edges.Count())
-	if err := cluster.AppendTo(edges, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+// expectedLen sizes a stage output that emits a random number of rows per
+// input row: n times the mean (a seed degree mean, so a constant of the
+// input), plus 1/16 so a sum somewhat above its mean still fits without the
+// append doubling the slice.
+func expectedLen(n int, mean float64) int {
+	return int(float64(n)*mean*(1+1.0/16)) + 16
 }
 
 // partitionOffsets returns the exclusive prefix sums of partition sizes, so
@@ -211,17 +212,17 @@ func partitionOffsets[T any](ds *cluster.Dataset[T]) []int64 {
 // sampleWithReplacement extends cluster.Sample to fractions >= 1: each
 // partition emits round(fraction * len) draws with replacement, matching
 // Spark's sample(withReplacement=true, fraction).
-func sampleWithReplacement(ds *cluster.Dataset[graph.Edge], fraction float64, seed uint64) *cluster.Dataset[graph.Edge] {
+func sampleWithReplacement(ds *cluster.Dataset[graph.Pair], fraction float64, seed uint64) *cluster.Dataset[graph.Pair] {
 	if fraction < 1 {
 		return cluster.Sample(ds, fraction, seed)
 	}
-	return cluster.MapPartitions(ds, func(part int, es []graph.Edge) []graph.Edge {
+	return cluster.MapPartitions(ds, func(part int, es []graph.Pair) []graph.Pair {
 		if len(es) == 0 {
 			return nil
 		}
 		rng := cluster.DeriveRNG(seed, uint64(part))
 		n := int(fraction * float64(len(es)))
-		out := make([]graph.Edge, n)
+		out := make([]graph.Pair, n)
 		for i := range out {
 			out[i] = es[rng.IntN(len(es))]
 		}
@@ -229,23 +230,48 @@ func sampleWithReplacement(ds *cluster.Dataset[graph.Edge], fraction float64, se
 	})
 }
 
-// assignProperties samples a fresh Netflow attribute set for every edge
-// (Figure 2 lines 15-20 and Figure 3 lines 13-18), in O(|E| x |properties|).
-func assignProperties(edges *cluster.Dataset[graph.Edge], props *PropertyModel, seed uint64, independent bool) *cluster.Dataset[graph.Edge] {
-	defer edges.Cluster().Scope("props")()
-	return cluster.MapPartitions(edges, func(part int, es []graph.Edge) []graph.Edge {
-		rng := cluster.DeriveRNG(seed, uint64(part))
-		out := make([]graph.Edge, len(es))
-		for i, e := range es {
-			if independent {
-				e.Props = props.SampleIndependent(rng)
-			} else {
-				e.Props = props.Sample(rng)
-			}
-			out[i] = e
+// writeGraph is both generators' last engine stage (Figure 2 lines 15-20,
+// Figure 3 lines 13-18): it builds the output graph once. The graph is
+// sized up front, and each partition writes its pairs' endpoints, plus
+// Netflow attributes sampled from its own (seed, partition) stream unless
+// skip is set, into its own edge range starting at its partitionOffsets
+// prefix sum. Ranges are disjoint, so tasks share the columns without
+// locks, and a retried task rewrites the same bytes. The work is
+// O(|E| x |properties|); an endpoint outside [0, numVertices) is an error.
+// The stage runs under the props scope even when skip leaves it writing
+// endpoints only.
+func writeGraph(pairs *cluster.Dataset[graph.Pair], numVertices int64, props *PropertyModel,
+	seed uint64, skip, independent bool) (*graph.Graph, error) {
+	c := pairs.Cluster()
+	sample := props.Sample
+	if independent {
+		sample = props.SampleIndependent
+	}
+	endScope := c.Scope("props")
+	out := graph.NewSized(numVertices, pairs.Count())
+	cols := out.Cols()
+	offsets := partitionOffsets(pairs)
+	errs := make([]error, pairs.NumPartitions())
+	cluster.ForEachPartition(pairs, func(part int, ps []graph.Pair) {
+		lo := int(offsets[part])
+		if errs[part] = out.SetPairs(lo, ps); errs[part] != nil || skip {
+			return
 		}
-		return out
+		rng := cluster.DeriveRNG(seed, uint64(part))
+		for i := lo; i < lo+len(ps); i++ {
+			cols.SetProps(i, sample(rng))
+		}
 	})
+	endScope()
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 var _ Generator = (*PGPBA)(nil)

@@ -30,7 +30,7 @@ type PGSK struct {
 	// directly (lets sweeps reuse one fit, as the paper's experiments do).
 	Initiator *kronecker.Initiator
 	// SkipProperties suppresses property synthesis (Figure 10 overhead
-	// measurement).
+	// measurement); every output edge is then bare (zero attributes).
 	SkipProperties bool
 	// IndependentProps samples attributes without the IN_BYTES
 	// conditioning (ablation).
@@ -105,10 +105,10 @@ func (p *PGSK) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 	// distribution, restoring the multigraph nature of Netflow data.
 	outDeg := seed.OutDegree
 	endDup := c.Scope("duplicate")
-	base := cluster.ParallelizeEdges(c, gk.Cols(), 0)
-	edges := cluster.MapPartitions(base, func(part int, es []graph.Edge) []graph.Edge {
+	base := cluster.ParallelizePairs(c, gk.Cols(), 0)
+	edges := cluster.MapPartitions(base, func(part int, es []graph.Pair) []graph.Pair {
 		rng := cluster.DeriveRNG(p.Seed^0xd0b1e, uint64(part))
-		var out []graph.Edge
+		out := make([]graph.Pair, 0, expectedLen(len(es), meanOut))
 		for _, e := range es {
 			n := outDeg.Sample(rng)
 			if n < 1 {
@@ -122,19 +122,9 @@ func (p *PGSK) Generate(seed *Seed, desiredEdges int64) (*graph.Graph, error) {
 	})
 	endDup()
 
-	// Lines 13-18: property synthesis.
-	if !p.SkipProperties {
-		edges = assignProperties(edges, seed.Props, p.Seed^0xab5, p.IndependentProps)
-	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-
-	out := graph.NewWithCapacity(gk.NumVertices(), edges.Count())
-	if err := cluster.AppendTo(edges, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	// Lines 13-18: property synthesis, written with the endpoints straight
+	// into the output graph.
+	return writeGraph(edges, gk.NumVertices(), seed.Props, p.Seed^0xab5, p.SkipProperties, p.IndependentProps)
 }
 
 // iterationsFor returns the smallest Kronecker power k whose vertex grid can

@@ -62,6 +62,10 @@ type PropertyModel struct {
 	inBytes *stats.Discrete
 	buckets map[int]*attrModel
 	all     *attrModel // fallback for buckets unseen at fit time
+	// bySupport[i] is the conditional model of the i-th IN_BYTES support
+	// value: its bucket's, else all. Built once by index, it lets Sample
+	// resolve the condition with one slice load per edge.
+	bySupport []*attrModel
 }
 
 // attrModel carries the per-bucket conditional distributions.
@@ -175,18 +179,30 @@ func FitPropertiesBatch(batch *graph.EdgeBatch) (*PropertyModel, error) {
 		}
 		m.buckets[b] = bm
 	}
+	m.index()
 	return m, nil
+}
+
+// index builds bySupport from inBytes, buckets and all. Every constructor
+// calls it once the model is complete.
+func (m *PropertyModel) index() {
+	support := m.inBytes.Support()
+	m.bySupport = make([]*attrModel, len(support))
+	for i, ib := range support {
+		am := m.buckets[bucketOf(ib)]
+		if am == nil {
+			am = m.all
+		}
+		m.bySupport[i] = am
+	}
 }
 
 // Sample draws one complete Netflow attribute set: IN_BYTES from its
 // unconditional distribution, every other attribute from its conditional
 // distribution given the IN_BYTES bucket.
 func (m *PropertyModel) Sample(rng *rand.Rand) graph.EdgeProps {
-	ib := m.inBytes.Sample(rng)
-	am := m.buckets[bucketOf(ib)]
-	if am == nil {
-		am = m.all
-	}
+	i := m.inBytes.SampleIndex(rng)
+	ib, am := m.inBytes.Support()[i], m.bySupport[i]
 	proto, state := codeProtoState(am.protoState.Sample(rng))
 	return graph.EdgeProps{
 		Protocol: proto,

@@ -15,7 +15,8 @@ import (
 // widen back to VertexID on access.
 //
 // The zero value is an empty batch ready for use. An EdgeBatch is not safe
-// for concurrent mutation; concurrent reads are fine.
+// for concurrent mutation, except in-place writes (SetEdge, SetProps,
+// Graph.SetPairs) to disjoint edge ranges; concurrent reads are fine.
 type EdgeBatch struct {
 	src, dst         []uint32
 	proto, state     []uint8
@@ -205,7 +206,23 @@ func (b *EdgeBatch) SetEdge(i int, e Edge) {
 	b.inPkts[i] = e.Props.InPkts
 }
 
-// Truncate shortens the batch to n edges, keeping capacity.
+// SetProps overwrites the attributes of edge i in place, leaving its
+// endpoints as they are.
+func (b *EdgeBatch) SetProps(i int, p EdgeProps) {
+	b.proto[i] = uint8(p.Protocol)
+	b.state[i] = uint8(p.State)
+	b.srcPort[i] = p.SrcPort
+	b.dstPort[i] = p.DstPort
+	b.duration[i] = p.Duration
+	b.outBytes[i] = p.OutBytes
+	b.inByte[i] = p.InBytes
+	b.outPkts[i] = p.OutPkts
+	b.inPkts[i] = p.InPkts
+}
+
+// Truncate sets the batch's length to n <= Cap, keeping capacity. It
+// usually shortens; lengthening exposes what the columns hold past Len,
+// which in freshly grown columns is zero-valued edges (see NewSized).
 func (b *EdgeBatch) Truncate(n int) {
 	b.src = b.src[:n]
 	b.dst = b.dst[:n]

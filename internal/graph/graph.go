@@ -108,6 +108,16 @@ type Edge struct {
 	Props EdgeProps
 }
 
+// Pair is an edge's endpoints without its attributes: the 16-byte row the
+// generators' structural stages carry, a quarter of an Edge. Attributes are
+// sampled only once the structure is final, straight into the output
+// graph's columns, so carrying them through growth would move 48 zero bytes
+// per edge per stage.
+type Pair struct {
+	Src VertexID
+	Dst VertexID
+}
+
 // Graph is a directed property multigraph. Multiple edges between the same
 // ordered vertex pair are permitted (each models a distinct flow).
 //
@@ -138,6 +148,20 @@ func New(n int64) *Graph {
 func NewWithCapacity(n, edgeCap int64) *Graph {
 	g := New(n)
 	g.cols.Grow(int(edgeCap))
+	return g
+}
+
+// NewSized returns a graph with n vertices and m edges, every endpoint and
+// attribute zero, for writers that fill disjoint edge ranges in place
+// (SetPairs, then Cols().SetProps) instead of appending. Edges still at
+// their zero value join vertex 0 to itself, so n must be positive when m is.
+func NewSized(n, m int64) *Graph {
+	if m > 0 && n <= 0 {
+		panic("graph: sized graph with edges needs a vertex")
+	}
+	g := New(n)
+	g.cols.Grow(int(m)) // fresh columns are zeroed
+	g.cols.Truncate(int(m))
 	return g
 }
 
@@ -206,6 +230,25 @@ func (g *Graph) AppendBatch(b *EdgeBatch) error {
 		}
 	}
 	g.cols.AppendBatch(b)
+	return nil
+}
+
+// SetPairs overwrites the endpoints of edges [lo, lo+len(ps)). Like
+// AddEdges it validates the pairs once, returning an error (and writing
+// nothing) when an endpoint lies outside the vertex range. It touches only
+// that range of the src/dst columns, so writers of disjoint ranges may run
+// concurrently.
+func (g *Graph) SetPairs(lo int, ps []Pair) error {
+	limit := min(g.numVertices, int64(MaxBatchVertexID)+1)
+	for i, p := range ps {
+		if p.Src < 0 || int64(p.Src) >= limit || p.Dst < 0 || int64(p.Dst) >= limit {
+			return fmt.Errorf("graph: edge %d (%d,%d) out of range [0,%d)", lo+i, p.Src, p.Dst, g.numVertices)
+		}
+	}
+	src, dst := g.cols.src[lo:lo+len(ps)], g.cols.dst[lo:lo+len(ps)]
+	for i, p := range ps {
+		src[i], dst[i] = uint32(p.Src), uint32(p.Dst)
+	}
 	return nil
 }
 

@@ -250,3 +250,45 @@ func TestSimplifyIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A sized graph filled range by range with SetPairs and SetProps equals the
+// graph the same edges build by appending, and SetPairs rejects an
+// out-of-range endpoint without writing any of its range.
+func TestSizedGraphFilledInPlace(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	es := randomEdges(rng, 50, 300)
+	want := New(50)
+	if err := want.AddEdges(es); err != nil {
+		t.Fatal(err)
+	}
+	got := NewSized(50, int64(len(es)))
+	if got.NumEdges() != int64(len(es)) || got.EdgeAt(len(es)-1) != (Edge{}) {
+		t.Fatalf("NewSized: %d edges, last %+v; want %d zero edges", got.NumEdges(), got.EdgeAt(len(es)-1), len(es))
+	}
+	for lo := 0; lo < len(es); lo += 70 { // uneven ranges, last one short
+		hi := min(lo+70, len(es))
+		ps := make([]Pair, 0, hi-lo)
+		for _, e := range es[lo:hi] {
+			ps = append(ps, Pair{Src: e.Src, Dst: e.Dst})
+		}
+		if err := got.SetPairs(lo, ps); err != nil {
+			t.Fatal(err)
+		}
+		for i := lo; i < hi; i++ {
+			got.Cols().SetProps(i, es[i].Props)
+		}
+	}
+	for i := range es {
+		if got.EdgeAt(i) != want.EdgeAt(i) {
+			t.Fatalf("edge %d = %+v, want %+v", i, got.EdgeAt(i), want.EdgeAt(i))
+		}
+	}
+	for _, bad := range []Pair{{Src: 1, Dst: 50}, {Src: -1, Dst: 0}} {
+		if err := got.SetPairs(0, []Pair{{Src: 2, Dst: 3}, bad}); err == nil {
+			t.Fatalf("SetPairs accepted %+v", bad)
+		}
+		if got.EdgeAt(0) != want.EdgeAt(0) {
+			t.Fatal("rejected SetPairs wrote part of its range")
+		}
+	}
+}

@@ -27,7 +27,7 @@ func ComputeDistributed(c *cluster.Cluster, g *graph.Graph, opt Options) (*Resul
 	}
 	n := g.NumVertices()
 	outDeg := g.OutDegrees()
-	edges := cluster.ParallelizeEdges(c, g.Cols(), 0)
+	edges := cluster.ParallelizePairs(c, g.Cols(), 0)
 
 	inv := 1 / float64(n)
 	rank := make([]float64, n)
@@ -54,7 +54,7 @@ func ComputeDistributed(c *cluster.Cluster, g *graph.Graph, opt Options) (*Resul
 		base := (1-opt.Damping)*inv + opt.Damping*dangling*inv
 
 		// Map: each edge carries rank[src]/outDeg[src] to its target.
-		contribs := cluster.Map(edges, func(e graph.Edge) kv {
+		contribs := cluster.Map(edges, func(e graph.Pair) kv {
 			return kv{Key: e.Dst, Val: rank[e.Src] / float64(outDeg[e.Src])}
 		})
 		// Reduce: sum contributions per target.

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -97,18 +96,26 @@ func encodeRows(n int, header string, row rowAppender) ([]byte, error) {
 	work()
 	wg.Wait()
 
-	// bytes.Join sizes its result exactly and skips zeroing memory it is
-	// about to overwrite. With the (possibly empty) header and at least one
-	// page there are always two or more parts, so it never takes its
-	// single-part append path, which would round the capacity up.
-	parts := [][]byte{[]byte(header)}
+	size := len(header)
 	for k, pages := range chunks {
 		if errs[k] != nil {
 			return nil, errs[k]
 		}
-		parts = append(parts, pages...)
+		for _, pg := range pages {
+			size += len(pg)
+		}
 	}
-	return bytes.Join(parts, nil), nil
+	// Copy into one exact-size slice, dropping each chunk's pages once they
+	// are copied: a collection that runs during the join can then free them
+	// instead of finding every page live beside the whole artifact.
+	out := append(make([]byte, 0, size), header...)
+	for k := range chunks {
+		for _, pg := range chunks[k] {
+			out = append(out, pg...)
+		}
+		chunks[k] = nil
+	}
+	return out, nil
 }
 
 // encodeChunk formats rows [lo, hi) into a run of pages.

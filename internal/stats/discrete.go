@@ -134,11 +134,18 @@ func (d *Discrete) buildAliasFromPMF(pmf []float64) {
 
 // Sample draws one value from the distribution using rng in O(1).
 func (d *Discrete) Sample(rng *rand.Rand) int64 {
+	return d.values[d.SampleIndex(rng)]
+}
+
+// SampleIndex draws like Sample, with the same two rng draws, but returns
+// the drawn value's index into Support() instead of the value, so callers
+// can key per-value tables by it.
+func (d *Discrete) SampleIndex(rng *rand.Rand) int {
 	i := rng.IntN(len(d.values))
 	if rng.Float64() < d.aliasProb[i] {
-		return d.values[i]
+		return i
 	}
-	return d.values[d.alias[i]]
+	return int(d.alias[i])
 }
 
 // SampleN draws n values into a new slice.

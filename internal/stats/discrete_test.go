@@ -239,3 +239,42 @@ func TestReadDiscreteRejectsGarbage(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleIndexKeepsSampleDraws pins the index draw to the value draw it
+// replaced: over 10k draws SampleIndex must pick the value a reference copy
+// of the alias draw picks (uniform column, then a Float64 against its
+// keep probability), and leave the rng in the same state, so a caller that
+// switches from Sample to SampleIndex consumes the identical stream.
+func TestSampleIndexKeepsSampleDraws(t *testing.T) {
+	counts := map[int64]int64{}
+	src := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 5000; i++ {
+		counts[int64(src.ExpFloat64()*40)]++ // skewed, so aliases matter
+	}
+	d, err := FromCounts(counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSample := func(rng *rand.Rand) int64 {
+		i := rng.IntN(len(d.values))
+		if rng.Float64() < d.aliasProb[i] {
+			return d.values[i]
+		}
+		return d.values[d.alias[i]]
+	}
+	r1 := rand.New(rand.NewPCG(7, 8))
+	r2 := rand.New(rand.NewPCG(7, 8))
+	r3 := rand.New(rand.NewPCG(7, 8))
+	for n := 0; n < 10000; n++ {
+		want := refSample(r1)
+		if got := d.Support()[d.SampleIndex(r2)]; got != want {
+			t.Fatalf("draw %d: SampleIndex picked %d, reference %d", n, got, want)
+		}
+		if got := d.Sample(r3); got != want {
+			t.Fatalf("draw %d: Sample = %d, reference %d", n, got, want)
+		}
+	}
+	if a, b, c := r1.Uint64(), r2.Uint64(), r3.Uint64(); a != b || a != c {
+		t.Fatalf("rng states diverged after 10k draws: %x %x %x", a, b, c)
+	}
+}
